@@ -76,7 +76,8 @@ def test_e25_api_pipeline_smoke(report):
     )
     assert set(auto_plan.strategies()) == {"stacked"}
     assert planner.auto_backend("sequential", CLASSES_UNIVERSE_THRESHOLD) == "classes"
-    assert planner.auto_backend("sequential", 128) == "subspace"
+    assert planner.auto_backend("sequential", 128, total=512) == "subspace"
+    assert planner.auto_backend("sequential", 128, total=64) == "classes"
 
     rows = []
     trajectory = []

@@ -12,7 +12,7 @@ Commands
     (``repro.sample``); ``--backend`` defaults to the planner's ``auto``
     choice.  With ``--batch B`` the same front door
     (``repro.sample_many``) runs ``B`` independent instances of the
-    recipe through the stacked ``classes`` engine, optionally fanned
+    recipe through the stacked engine, optionally fanned
     across ``--jobs`` worker processes, and reports aggregate
     fidelity/throughput.
 ``serve``
@@ -490,7 +490,7 @@ def main(argv: list[str] | None = None) -> int:
         choices=sorted(set(backend_names())),
         default=None,
         help="simulation backend (default: the planner's auto choice — "
-        "the dense fast path for small N, 'classes' at scale)",
+        "'classes', or 'subspace' for sequential runs with M > N)",
     )
     sample.add_argument("--strategy", default="round_robin")
     sample.add_argument(
@@ -535,9 +535,9 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="DIM",
-        help="per-run override of the dense memory cap: auto routing picks a "
-        "dense representation (per-instance or the (B, N, 2) stacked-dense "
-        "batch tensor) only while the instance dimension 2N fits DIM",
+        help="per-run override of the dense memory cap: auto routing picks "
+        "the dense subspace representation (per-instance or the (B, N, 2) "
+        "stacked batch tensor) only while the instance dimension 2N fits DIM",
     )
     sample.add_argument(
         "--trace", default=None, metavar="PATH",
@@ -558,7 +558,7 @@ def main(argv: list[str] | None = None) -> int:
         choices=["auto", *stacked_backend_names()],
         default="auto",
         help="stacked substrate batches execute on; auto resolves per "
-        "request by universe size (the planner's rule)",
+        "request from its declared (N, M) (the planner's rule)",
     )
     serve.add_argument("--strategy", default="round_robin")
     serve.add_argument(

@@ -60,6 +60,19 @@ class InstanceSpec:
             rng=spawn_seed(gen),
         )
 
+    def declared_shape(self) -> tuple[int | None, int | None]:
+        """``(N, M)`` as the recipe declares them, without building.
+
+        ``N`` is the workload's ``universe`` parameter and ``M`` its
+        ``total``; either is ``None`` when the generator does not take it.
+        """
+        params = dict(self.workload.params)
+        universe, total = params.get("universe"), params.get("total")
+        return (
+            None if universe is None else int(universe),  # type: ignore[call-overload]
+            None if total is None else int(total),  # type: ignore[call-overload]
+        )
+
     def label(self) -> str:
         """Row label: workload, sharding, machine count and backend."""
         suffix = f"/{self.tag}" if self.tag else ""

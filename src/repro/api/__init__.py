@@ -12,10 +12,11 @@ package routes every workload through a single pipeline instead:
     backend (``"auto"`` by default), capacity policy, seed and batching
     hints.
 :class:`Planner` → :class:`ExecutionPlan`
-    *How* it executes: ``auto`` backend selection by scale
-    (dense fast path for small ``N``, ``classes`` at ``N ≥ 10⁵``), and
-    strategy routing — per-instance for heterogeneous requests, the
-    stacked ``(B, ν+1, 2)`` batch engine for homogeneous groups of 64+,
+    *How* it executes: ``auto`` backend selection by the declared
+    ``(N, M)`` (the count-class substrate, dense ``subspace`` only for
+    sequential ``M > N``), and strategy routing — per-instance for
+    heterogeneous requests, the stacked batch engine for homogeneous
+    groups of 64+,
     process fan-out for build-dominated loads (``jobs > 1``), the
     serving dispatcher for streams.
 :func:`sample` / :func:`sample_many` / :func:`serve`

@@ -194,9 +194,9 @@ def serve(
                     include_probabilities=request.include_probabilities,
                     capacity=request.capacity,
                     # "auto" passes through verbatim: the dispatcher then
-                    # resolves the stacked substrate per request by
-                    # universe size (mixed-N streams pack per backend),
-                    # honoring the request's dense memory cap.
+                    # resolves the stacked substrate per request from its
+                    # declared (N, M) — the planner's rule, so the labels
+                    # agree — honoring the request's dense memory cap.
                     backend=request.backend,
                     max_dense_dimension=request.max_dense_dimension,
                 )

@@ -5,16 +5,16 @@ topology; the stack, likewise, is one set of engines parameterized by
 strategy.  The :class:`Planner` owns every routing rule that used to be
 duplicated across the four legacy front doors:
 
-* **backend selection** — ``"auto"`` resolves by scale and model: the
-  dense fast path (``subspace`` sequential / ``synced`` parallel) below
-  :data:`CLASSES_UNIVERSE_THRESHOLD`, the ``O(ν)``-memory ``classes``
-  compression at ``N ≥ 10⁵``.  Batched strategies resolve against the
-  *stacked*-backend registry (:mod:`repro.batch.backends`) with the
-  same shape of rule: small/medium-``N`` sequential groups stack on the
-  ``(B, N, 2)`` dense ``subspace`` tensor (while ``2N`` fits the
-  ``max_dense_dimension`` cap, overridable per request), everything
-  else on the ``(B, ν+1, 2)`` ``classes`` compression — and stream
-  snapshots always run ``classes``;
+* **backend selection** — ``"auto"`` applies the one rule of
+  :func:`repro.batch.backends.auto_stacked_backend` to the request's
+  declared ``(N, M)``: the ``O(ν)`` count-class substrate for every
+  parallel-model request, every sequential request with ``M ≤ N`` (or
+  an undeclared ``M``) and everything at ``N ≥ 10⁵`` or past the dense
+  cap — ``classes`` per instance, the padding-free ``ragged`` plane
+  when batched or served.  Only sequential requests with ``M > N`` run
+  dense, on ``subspace`` (while ``2N`` fits the ``max_dense_dimension``
+  cap, overridable per request).  Stream snapshots always run
+  ``classes``;
 * **strategy selection** — per-instance execution for heterogeneous or
   unstackable-backend requests, the stacked batch engine for
   homogeneous groups of at least :data:`STACK_THRESHOLD` requests (or
@@ -49,7 +49,7 @@ from typing import Iterable, Sequence
 from ..batch.backends import auto_stacked_backend, stacked_backend_names
 from ..config import CONFIG
 from ..core.backends import MODELS, backend_names, resolve_backend
-from ..errors import PlanningError, RequestError, ValidationError
+from ..errors import PlanningError, ValidationError
 from ..obs.metrics import METRICS
 from ..obs.trace import span
 from .request import AUTO_BACKEND, CAPACITY_POLICIES, SamplingRequest
@@ -63,10 +63,11 @@ from .request import AUTO_BACKEND, CAPACITY_POLICIES, SamplingRequest
 #: (every ``Planner()`` built afterwards picks them up), not this value.
 STACK_THRESHOLD = CONFIG.stack_threshold
 
-#: Universe size at which ``"auto"`` switches from the dense fast path
-#: to the ``classes`` compression (the dense layouts' wall time crosses
-#: ``classes`` well before this; see benchmarks/_results/E22.json).
-#: Import-time snapshot of the default of
+#: Universe size from which ``"auto"`` never picks a dense layout, even
+#: for a sequential request with ``M > N`` (the one case it otherwise
+#: sends to ``subspace``; see
+#: :func:`repro.batch.backends.auto_stacked_backend` for the measured
+#: costs behind the rule).  Import-time snapshot of the default of
 #: :attr:`repro.config.NumericsConfig.classes_universe_threshold` —
 #: same caveat as :data:`STACK_THRESHOLD`.
 CLASSES_UNIVERSE_THRESHOLD = CONFIG.classes_universe_threshold
@@ -173,7 +174,7 @@ class Planner:
         Homogeneous group size at which stacking wins
         (default :data:`STACK_THRESHOLD`).
     classes_universe_threshold:
-        ``N`` at which ``"auto"`` switches to the ``classes`` backend
+        ``N`` from which ``"auto"`` always picks a count-class substrate
         (default :data:`CLASSES_UNIVERSE_THRESHOLD`).
     """
 
@@ -201,49 +202,28 @@ class Planner:
     # -- backend selection ---------------------------------------------------------
 
     def auto_backend(
-        self, model: str, universe: int, max_dense_dimension: int | None = None
+        self,
+        model: str,
+        universe: int | None,
+        max_dense_dimension: int | None = None,
+        total: int | None = None,
     ) -> str:
-        """The ``"auto"`` rule for a *per-instance* run: dense below the
-        scale threshold (and within the dense-dimension cap), ``classes``
-        at and above it.
+        """The ``"auto"`` rule for a *per-instance* run.
 
-        The cap guard compares the element-register dimension ``2N`` — a
-        lower bound on every dense layout.  Parallel-model layouts also
-        carry a ``ν+1`` counting axis the planner cannot know at routing
-        time, so an over-cap ``synced`` run still fails with the honest
-        :class:`~repro.errors.SimulationLimitError` at construction
-        rather than being silently rerouted.
-        """
-        require_model(model)
-        cap = (
-            CONFIG.max_dense_dimension
-            if max_dense_dimension is None
-            else max_dense_dimension
-        )
-        if universe >= self.classes_universe_threshold or 2 * universe > cap:
-            return BATCH_SUBSTRATE
-        return "subspace" if model == "sequential" else "synced"
-
-    def stacked_backend(
-        self, model: str, universe: int, max_dense_dimension: int | None = None
-    ) -> str:
-        """The ``"auto"`` rule for one *batched* instance.
-
-        Pure delegation to
-        :func:`repro.batch.backends.auto_stacked_backend` — the one
-        definition of the rule, also applied by
-        ``run_batched(backend="auto")`` and the serving dispatcher —
-        with this planner's ``classes_universe_threshold`` threaded
-        through: ``classes`` at scale or when the dense tensor would
-        not fit, the ``(B, N, 2)`` stacked-dense representation for the
-        small/medium-``N`` groups it supports.
+        :func:`repro.batch.backends.auto_stacked_backend` with this
+        planner's ``classes_universe_threshold``: ``classes`` unless the
+        request is sequential with a declared ``M = total > N``, which
+        runs on ``subspace``.  Batched and served requests take the same
+        rule with the stacked class substrate, ``ragged``.
         """
         require_model(model)
         return auto_stacked_backend(
             model,
             universe,
+            total,
             max_dense_dimension=max_dense_dimension,
             classes_universe_threshold=self.classes_universe_threshold,
+            stacked=False,
         )
 
     def validated_backend(self, name: str, model: str) -> str:
@@ -433,14 +413,13 @@ class Planner:
                 )
             return BATCH_SUBSTRATE
         if request.backend == AUTO_BACKEND:
-            try:
-                universe = request.planning_universe()
-            except RequestError:
-                # A spec recipe without a declared universe can still
-                # stack — on the scale-free substrate.
-                return BATCH_SUBSTRATE
-            return self.stacked_backend(
-                request.model, universe, request.max_dense_dimension
+            universe, total = request.declared_shape()
+            return auto_stacked_backend(
+                request.model,
+                universe,
+                total,
+                max_dense_dimension=request.max_dense_dimension,
+                classes_universe_threshold=self.classes_universe_threshold,
             )
         if request.backend in names:
             return request.backend
@@ -469,8 +448,9 @@ class Planner:
                 )
             backend = BATCH_SUBSTRATE
         elif request.backend == AUTO_BACKEND:
+            universe, total = request.declared_shape()
             backend = self.auto_backend(
-                request.model, request.planning_universe(), request.max_dense_dimension
+                request.model, universe, request.max_dense_dimension, total
             )
         else:
             backend = self.validated_backend(request.backend, request.model)

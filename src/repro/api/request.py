@@ -58,10 +58,11 @@ class SamplingRequest:
         ``"sequential"`` (Theorem 4.3) or ``"parallel"`` (Theorem 4.5).
     backend:
         A registered backend name, or ``"auto"`` (default) to let the
-        planner choose by scale: the dense fast path for small ``N``
-        (``subspace``/``synced``), the ``O(ν)``-memory ``classes``
-        compression at ``N ≥ 10⁵`` — and always ``classes`` when the
-        request executes batched, served, or from a stream snapshot.
+        planner choose from the declared ``(N, M)``: the ``O(ν)``
+        count-class substrate (``classes`` per instance, ``ragged`` when
+        batched or served) for every request except sequential ones with
+        ``M > N`` below ``N = 10⁵``, which run dense on ``subspace``.
+        Stream snapshots always run ``classes``.
     capacity:
         ``"all"`` or ``"skip_empty"`` (see :data:`CAPACITY_POLICIES`).
     seed:
@@ -111,17 +112,14 @@ class SamplingRequest:
     max_dense_dimension:
         Per-run *routing* override of the dense-stacking memory cap
         (:attr:`~repro.config.NumericsConfig.max_dense_dimension`): the
-        planner's auto rules pick a dense representation — per-instance
-        or the ``(B, N, 2)`` stacked subspace tensor — only while the
-        per-instance element-register dimension ``2N`` fits, so stacked
-        memory stays under ``max_dense_dimension × B`` cells.  The
-        global config cap still guards tensor construction, so this
-        override can tighten routing below it but not lift it (raise
-        the config field for that); parallel-model layouts carry an
-        extra ``ν+1`` counting axis the planner cannot see, so their
-        honest :class:`~repro.errors.SimulationLimitError` at execution
-        remains the backstop.  ``None`` (default) uses the global
-        config value; must be positive.
+        planner's auto rule picks the dense ``subspace`` representation
+        — per-instance or the ``(B, N, 2)`` stacked tensor — only while
+        the per-instance dimension ``2N`` fits, so stacked memory stays
+        under ``max_dense_dimension × B`` cells.  The global config cap
+        still guards tensor construction, so this override can tighten
+        routing below it but not lift it (raise the config field for
+        that).  ``None`` (default) uses the global config value; must be
+        positive.
 
     Exactly one of ``database``/``spec``/``stream`` must be set.
     """
@@ -239,6 +237,20 @@ class SamplingRequest:
             return "database"
         return "spec" if self.spec is not None else "stream"
 
+    def declared_shape(self) -> tuple[int | None, int | None]:
+        """``(N, M)`` as the request declares them, without building.
+
+        The one input of the ``"auto"`` rule
+        (:func:`~repro.batch.backends.auto_stacked_backend`).  Databases
+        and streams know both; spec recipes declare them through the
+        workload's ``universe`` and ``total`` parameters (``None`` when
+        the generator does not take one).
+        """
+        if self.spec is not None:
+            return self.spec.declared_shape()
+        db = self.database if self.database is not None else self.stream.database
+        return db.universe, db.total_count
+
     def planning_universe(self) -> int:
         """``N`` — the element-register size, without building anything.
 
@@ -246,18 +258,14 @@ class SamplingRequest:
         through the workload's ``universe`` parameter (every registered
         generator takes one).
         """
-        if self.database is not None:
-            return self.database.universe
-        if self.stream is not None:
-            return self.stream.database.universe
-        assert self.spec is not None
-        universe = dict(self.spec.workload.params).get("universe")
+        universe, _ = self.declared_shape()
         if universe is None:
+            assert self.spec is not None
             raise RequestError(
                 f"workload {self.spec.workload.name!r} declares no 'universe' "
                 "parameter; pass an explicit backend= instead of 'auto'"
             )
-        return int(universe)
+        return universe
 
     def resolved_label(self) -> str:
         """The row label this request will carry."""

@@ -6,7 +6,7 @@ as one tensor, on an interchangeable stacked representation.
 :mod:`repro.batch.backends`
     :class:`StackedBackend` — the stacked-backend protocol and registry
     (the batch-level mirror of :mod:`repro.core.backends`), with
-    ``"auto"`` resolution by universe size.
+    the one ``"auto"`` rule (:func:`auto_stacked_backend`).
 :mod:`repro.batch.stacked`
     :class:`StackedClassVector` — ``B`` count-class states as a single
     ``(B, C, 2)`` amplitude tensor with per-instance class maps (the

@@ -43,11 +43,12 @@ share the batched phase surface of
 ``apply_global_phase``, with scalar or per-instance ``(B,)`` phases), so
 the engine's iterate loop never branches on the representation.
 
-``"auto"`` resolution mirrors the per-instance planner rule and is
-shared by the planner, ``run_batched`` and the serving dispatcher:
-``classes`` at ``N ≥ classes_universe_threshold`` (or whenever the dense
-tensor would not fit), the stacked-dense ``subspace`` representation for
-sequential-model instances below it.
+``"auto"`` resolution is one rule, :func:`auto_stacked_backend`, shared
+by the planner (per-instance and stacked), the batch engine, the serving
+dispatcher and the shard tier.  It reads only the declared ``(N, M)``
+and picks the count-class substrate — ``ragged`` for stacked and served
+traffic, ``classes`` for a per-instance run — for everything except
+sequential requests with ``M > N``, which stack densely on ``subspace``.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ if TYPE_CHECKING:  # pragma: no cover
 #: The query models of Theorems 4.3 and 4.5 (mirrors core.backends.MODELS).
 MODELS = ("sequential", "parallel")
 
-#: The backend sentinel that resolves per instance by universe size.
+#: The backend sentinel that resolves per instance from its declared (N, M).
 AUTO_STACKED_BACKEND = "auto"
 
 
@@ -224,20 +225,33 @@ def create_stacked_backend(
 
 def auto_stacked_backend(
     model: str,
-    universe: int,
+    universe: int | None,
+    total: int | None = None,
     max_dense_dimension: int | None = None,
     classes_universe_threshold: int | None = None,
+    stacked: bool = True,
 ) -> str:
-    """The ``"auto"`` rule for one batched instance — defined once, here.
+    """The ``"auto"`` rule — defined once, here.
 
-    The planner, ``run_batched(backend="auto")`` and the serving
-    dispatcher all delegate to this function.  ``classes`` at
-    ``N ≥ classes_universe_threshold`` (the compression's home regime)
-    and whenever the per-instance dense dimension ``2N`` would exceed
-    the cap; otherwise the ``(B, N, 2)`` stacked-dense representation —
-    ``subspace`` for sequential batches, the Lemma 4.4 ``synced``
-    layout for parallel ones (mirroring the per-instance planner rule).
-    Both knobs default to the live :data:`CONFIG` fields;
+    The planner (per-instance and stacked resolution), the batch engine,
+    the serving dispatcher and the shard tier all call this function
+    with the request's *declared* universe ``N`` and total ``M``
+    (``None`` when a recipe does not declare one), so every site labels
+    a request alike.
+
+    The count-class state costs ``O(ν)`` per iterate and ``ν ≤ M``,
+    while every dense layout costs ``O(N)`` or more, so the rule picks
+    the class substrate — ``ragged`` for stacked and served traffic
+    (``stacked=True``), ``classes`` for a per-instance run — for every
+    parallel-model request, every sequential request with ``M ≤ N`` or
+    an undeclared ``N``/``M``, and everything at
+    ``N ≥ classes_universe_threshold`` or with ``2N`` past the dense
+    cap.  Only sequential requests with ``M > N`` go dense, on
+    ``subspace``: on the traced ``offline-sweep`` benchmark
+    (``batch.backends.kernel_us_per_inst``) the class substrates beat
+    ``subspace`` by ~7× and ``synced`` by ~20–30× at N=4096, M=256, while at
+    N=1024, M=16384 (ν≈2900) ``subspace`` runs 5× faster than
+    ``classes``.  Both knobs default to the live :data:`CONFIG` fields;
     ``max_dense_dimension`` is the per-run ``SamplingRequest`` /
     ``--max-dense-dim`` override, ``classes_universe_threshold`` the
     per-planner one.
@@ -250,17 +264,24 @@ def auto_stacked_backend(
         if classes_universe_threshold is None
         else classes_universe_threshold
     )
-    if universe >= threshold or 2 * universe > cap:
-        return "classes"
-    dense_name = "subspace" if model == "sequential" else "synced"
-    dense = _REGISTRY.get(dense_name)
-    if dense is not None and model in dense.models:
-        return dense_name
-    return "classes"
+    if (
+        model == "sequential"
+        and universe is not None
+        and total is not None
+        and total > universe
+        and universe < threshold
+        and 2 * universe <= cap
+    ):
+        return "subspace"
+    return "ragged" if stacked else "classes"
 
 
 def resolve_stacked_name(
-    name: str, model: str, universe: int, max_dense_dimension: int | None = None
+    name: str,
+    model: str,
+    universe: int,
+    total: int,
+    max_dense_dimension: int | None = None,
 ) -> str:
     """Resolve a caller-supplied backend knob to a registered name.
 
@@ -270,7 +291,7 @@ def resolve_stacked_name(
     :class:`~repro.errors.SimulationLimitError` lives).
     """
     if name == AUTO_STACKED_BACKEND:
-        return auto_stacked_backend(model, universe, max_dense_dimension)
+        return auto_stacked_backend(model, universe, total, max_dense_dimension)
     resolve_stacked_backend(name, model)
     return name
 
@@ -299,9 +320,11 @@ class StackedClassBackend(StackedBackend):
     """``B`` count-class states as one ``(B, ν+1, 2)`` tensor (both models).
 
     The original stacked substrate: ``O(B·ν)`` memory independent of
-    ``N``, every iterate a constant number of kernels.  Rows are
-    interchangeable with per-instance ``classes``-backend runs (cell-
-    for-cell equivalence is regression-tested in ``tests/batch/``).
+    ``N``, every iterate a constant number of kernels.  A one-instance
+    group is bit-identical to the per-instance ``classes`` run (the
+    kernels are shared); in a mixed-ν group the padded reductions span
+    ``max ν + 1`` cells and may differ in the last ulp, which is why
+    ``auto`` stacks class traffic on ``ragged`` instead.
     """
 
     name = "classes"

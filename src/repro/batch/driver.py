@@ -213,7 +213,7 @@ def run_batched(
     backend:
         The stacked substrate (``"classes"`` default, ``"subspace"``
         for small/medium-``N`` sequential sweeps, ``"auto"`` to resolve
-        per instance by universe size — the planner's rule).
+        per instance from its ``(N, M)`` — the planner's rule).
 
     Returns
     -------

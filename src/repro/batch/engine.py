@@ -12,8 +12,10 @@ order.  The stacked representation is pluggable
 (``"classes"``, any scale), the ``(B, N, 2)`` dense tensors
 (``"subspace"``/``"synced"``, small/medium ``N``), the CSR-packed
 ``"ragged"`` plane (heterogeneous ν at fill ratio ≈ 1), or ``"auto"``
-to pick per instance by universe size — the engine below never branches
-on the substrate.
+to pick per instance from its ``(N, M)``
+(:func:`~repro.batch.backends.auto_stacked_backend`: ``ragged`` unless a
+sequential instance has ``M > N``) — the engine below never branches on
+the substrate.
 
 Backends that declare
 :attr:`~repro.batch.backends.StackedBackend.supports_mixed_schedules`
@@ -22,11 +24,8 @@ name): one group may then mix schedule shapes, and the engine drives it
 with a masked iterate loop — finished instances ride the remaining
 iterations under unit phases and identity rotation blocks, which are
 exact no-ops, so every instance still executes precisely its own
-schedule.  With ``CONFIG.ragged_fill_threshold > 0``, ``"auto"``
-batches whose ``classes``-bound instances would pad badly (padded fill
-below the threshold across ≥ 2 distinct shapes) are rerouted onto the
-``ragged`` substrate; the default threshold ``0.0`` keeps auto routing
-byte-stable.
+schedule.  ``"auto"`` class traffic lands on ``ragged``, so a mixed-ν,
+mixed-schedule ``auto`` batch runs as one group with no padding.
 
 Exactness is not traded for throughput:
 
@@ -39,9 +38,11 @@ Exactness is not traded for throughput:
 * instances in one group may differ in ``N``, ``ν``, ``n`` and final
   partial-iterate angles — the stacked states pad with inert cells and
   identity rotation blocks, and phases are per-instance arrays;
-* the equivalence tests assert output probabilities, fidelities and
-  ledger totals match unbatched ``classes``-backend runs cell for cell,
-  and that stacked ``subspace`` runs match per-instance
+* the equivalence tests assert that ``ragged`` rows (and one-instance
+  ``classes`` groups) match per-instance ``classes``-backend runs bit for
+  bit — the class kernels are shared with
+  :class:`~repro.qsim.classvector.ClassVector` — and that stacked
+  ``subspace`` runs match per-instance
   :class:`~repro.core.backends.SubspaceBackend` rows bit for bit.
 
 Two batch-level amortizations do the heavy lifting beyond tensor
@@ -73,7 +74,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..config import CONFIG
 from ..obs.metrics import METRICS
 from ..qsim.classvector import ClassVector
 from ..qsim.register import Register, RegisterLayout
@@ -85,13 +85,11 @@ from ..database.distributed import DistributedDatabase
 from ..database.ledger import QueryLedger
 from ..errors import ValidationError
 from .backends import (
-    AUTO_STACKED_BACKEND,
     StackedBackend,
     create_stacked_backend,
     resolve_stacked_backend,
     resolve_stacked_name,
 )
-from .ragged import padded_fill_ratio
 
 #: The default stacked substrate (and the name stamped on its results):
 #: the ``classes`` compression, which batches at any scale.
@@ -428,11 +426,9 @@ def execute_sampling_batch(
         ``(B, N, 2)`` dense tensors, bit-identical to per-instance
         ``subspace``/``synced`` rows), ``"ragged"`` (CSR-packed
         heterogeneous-ν groups, bit-identical to per-instance
-        ``classes`` rows), or ``"auto"`` to resolve per instance by
-        universe size
-        (:func:`~repro.batch.backends.auto_stacked_backend`), with
-        poor-fill heterogeneous batches rerouted to ``ragged`` when
-        ``CONFIG.ragged_fill_threshold`` is positive.
+        ``classes`` rows), or ``"auto"`` to resolve per instance from
+        its ``(N, M)``
+        (:func:`~repro.batch.backends.auto_stacked_backend`).
 
     Returns
     -------
@@ -452,41 +448,6 @@ def execute_sampling_batch(
         skip_zero_capacity=skip_zero_capacity,
         backend=backend,
     )
-
-
-def _reroute_heterogeneous(
-    requested: str,
-    backends: list[str],
-    instances: Sequence[ClassInstance],
-    plans: Sequence[AmplificationPlan],
-) -> None:
-    """Reroute poor-fill heterogeneous ``auto`` batches onto ``ragged``.
-
-    Mutates ``backends`` in place.  Applies only when the caller asked
-    for ``"auto"`` routing and ``CONFIG.ragged_fill_threshold`` is
-    positive (the default ``0.0`` keeps auto labels byte-stable): the
-    ``classes``-bound instances are rerouted as one set when they span
-    at least two distinct ``(ν, schedule-shape)`` signatures — genuine
-    heterogeneity, not just a small batch — and a padded ``(B, C, 2)``
-    stack of them would fill below the threshold.  Explicit backend
-    names are never second-guessed; ``backend="ragged"`` opts in
-    unconditionally.
-    """
-    threshold = CONFIG.ragged_fill_threshold
-    if requested != AUTO_STACKED_BACKEND or threshold <= 0:
-        return
-    routed = [i for i, name in enumerate(backends) if name == "classes"]
-    if len(routed) < 2:
-        return
-    shapes = {
-        (instances[i].nu, plans[i].grover_reps, plans[i].needs_final) for i in routed
-    }
-    if len(shapes) < 2:
-        return
-    if padded_fill_ratio([instances[i].nu + 1 for i in routed]) >= threshold:
-        return
-    for i in routed:
-        backends[i] = "ragged"
 
 
 def execute_class_batch(
@@ -516,9 +477,9 @@ def execute_class_batch(
         return []
     plans = [cached_plan(inst.overlap()) for inst in instances]
     backends = [
-        resolve_stacked_name(backend, model, inst.universe) for inst in instances
+        resolve_stacked_name(backend, model, inst.universe, inst.total)
+        for inst in instances
     ]
-    _reroute_heterogeneous(backend, backends, instances, plans)
     groups: dict[tuple[str, int | None, bool | None], list[int]] = {}
     for idx, plan in enumerate(plans):
         # Mixed-schedule backends group by compatibility class (the name

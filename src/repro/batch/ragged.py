@@ -20,15 +20,20 @@ constant number of NumPy kernels over the whole plane:
 * the ``π``-projector phase — an elementwise product over the plane
   plus one *per-segment contiguous* ``np.sum`` per instance.
 
-Bit-identity is the gate (as for the stacked-dense backends): each
-per-segment reduction runs ``np.sum`` on a contiguous slice of exactly
-the instance's own length, which performs the **same pairwise summation
-tree** as the per-instance :class:`~repro.qsim.classvector.ClassVector`
-reduction over its own ``(ν_b + 1,)`` array.  ``np.add.reduceat`` — the
-classic segment-reduce kernel — sums *sequentially* and diverges from
-``np.sum`` in the last ulp for segments longer than the unrolled block,
-so it is used only on the tolerance-band paths (:meth:`norms`, which
-feeds the ``strict_checks`` drift window), never on amplitudes,
+Bit-identity is the gate (as for the stacked-dense backends): the
+flag unitary, the ``π``-projector update and the fidelity reduction are
+the very functions the per-instance
+:class:`~repro.qsim.classvector.ClassVector` runs as a one-segment plane
+(:func:`~repro.qsim.classvector.flag_unitary`,
+:func:`~repro.qsim.classvector.pi_projector_update`,
+:func:`~repro.qsim.classvector.target_fidelities`).  Their per-segment
+reductions run ``np.sum`` on a contiguous slice of exactly the
+instance's own length — the **same pairwise summation tree** as the
+instance reducing its own ``(ν_b + 1,)`` array.  ``np.add.reduceat`` —
+the classic segment-reduce kernel — sums *sequentially* and diverges
+from ``np.sum`` in the last ulp for segments longer than the unrolled
+block, so it is used only on the tolerance-band paths (:meth:`norms`,
+which feeds the ``strict_checks`` drift window), never on amplitudes,
 overlaps or fidelities.
 
 Because no cell is padding, a ragged group may also mix *schedule
@@ -46,7 +51,12 @@ import numpy as np
 
 from ..config import CONFIG
 from ..errors import NotUnitaryError, ValidationError
-from ..qsim.classvector import ClassVector
+from ..qsim.classvector import (
+    ClassVector,
+    flag_unitary,
+    pi_projector_update,
+    target_fidelities,
+)
 from ..utils.validation import require
 from .backends import StackedBackend, cached_u_blocks, register_stacked_backend
 from .stacked import _as_phase_column
@@ -55,14 +65,24 @@ from .stacked import _as_phase_column
 def padded_fill_ratio(widths: Sequence[int]) -> float:
     """``Σ wᵢ / (B · max wᵢ)`` — the fill a padded stack of ``widths`` gets.
 
-    The heterogeneity signal behind ``CONFIG.ragged_fill_threshold``:
-    1.0 for homogeneous widths, → 0 as one wide instance forces padding
-    onto many narrow ones.  Defined on class-axis widths ``ν_b + 1``.
+    The heterogeneity signal a padded stack pays for: 1.0 for
+    homogeneous widths, → 0 as one wide instance forces padding onto many
+    narrow ones.  Defined on class-axis widths ``ν_b + 1``.
     """
     widths = [int(w) for w in widths]
     if not widths:
         return 1.0
     return float(sum(widths)) / (len(widths) * max(widths))
+
+
+def _segment_layout(offsets: np.ndarray) -> int | np.ndarray:
+    """The ``segments`` argument of the shared class kernels: the common
+    width when every segment has one (the row-wise fast path), else the
+    offsets themselves."""
+    lengths = np.diff(offsets)
+    if (lengths == lengths[0]).all():
+        return int(lengths[0])
+    return offsets
 
 
 class RaggedClassVector:
@@ -82,7 +102,7 @@ class RaggedClassVector:
     it through the same calls.
     """
 
-    __slots__ = ("_element_classes", "_n_classes", "_offsets", "_seg_lengths",
+    __slots__ = ("_element_classes", "_n_classes", "_offsets", "_seg_lengths", "_segments",
                  "_class_sizes", "_values", "_inv_sqrt_n", "_expected_norms",
                  "_owns_class_structure")
 
@@ -105,6 +125,7 @@ class RaggedClassVector:
         self._seg_lengths = self._n_classes.copy()
         self._offsets = np.zeros(len(maps) + 1, dtype=np.int64)
         np.cumsum(self._seg_lengths, out=self._offsets[1:])
+        self._segments = _segment_layout(self._offsets)
         total_cells = int(self._offsets[-1])
         self._class_sizes = np.empty(total_cells, dtype=np.float64)
         for b, (ec, c) in enumerate(zip(maps, counts)):
@@ -170,6 +191,7 @@ class RaggedClassVector:
         out._element_classes = list(element_classes)
         out._offsets = np.asarray(offsets, dtype=np.int64)
         out._seg_lengths = np.diff(out._offsets)
+        out._segments = _segment_layout(out._offsets)
         out._n_classes = out._seg_lengths.copy()
         out._class_sizes = np.asarray(class_sizes, dtype=np.float64)
         out._values = np.array(values, dtype=np.complex128, copy=True, order="C")
@@ -232,15 +254,6 @@ class RaggedClassVector:
         seg_sums = np.add.reduceat(weighted, self._offsets[:-1])
         return np.sqrt(seg_sums)
 
-    def _segment_sums(self, plane: np.ndarray) -> np.ndarray:
-        """Per-segment ``np.sum`` over contiguous slices — bit-identical
-        to each instance reducing its own ``(ν_b + 1,)`` array."""
-        out = np.empty(self.batch_size, dtype=plane.dtype)
-        offsets = self._offsets
-        for b in range(self.batch_size):
-            out[b] = np.sum(plane[offsets[b]:offsets[b + 1]])
-        return out
-
     # -- unitary mutations -------------------------------------------------------
 
     def apply_class_flag_unitary(self, mats: np.ndarray) -> "RaggedClassVector":
@@ -249,7 +262,7 @@ class RaggedClassVector:
         expected = (self._values.shape[0], 2, 2)
         if mats.shape != expected:
             raise ValidationError(f"mats must have shape {expected}, got {mats.shape}")
-        self._values = np.einsum("cab,cb->ca", mats, self._values)
+        self._values = flag_unitary(mats, self._values)
         return self._after_unitary()
 
     def apply_phase_slice(
@@ -280,17 +293,15 @@ class RaggedClassVector:
     ) -> "RaggedClassVector":
         """``S_π(ϕ)`` on every instance: one product plane, one segment sum each.
 
-        Mirrors :meth:`ClassVector.apply_pi_projector_phase` reduction
-        for reduction: ``⟨π,0|ψ_b⟩ = (1/√N_b)·Σ_c N_{b,c} α[b,c,0]``
-        with the segment's own contiguous ``np.sum``, then the rank-one
-        correction broadcast back onto the segment's flag-0 cells.
+        The kernel :meth:`ClassVector.apply_pi_projector_phase` runs
+        (:func:`~repro.qsim.classvector.pi_projector_update`), over all
+        segments of the plane at once.
         """
         require(element_reg == "i" and flag_reg == "w", "ragged registers are (i, w)")
         col = _as_phase_column(phase, self.batch_size)
-        products = self._class_sizes * self._values[:, 0]
-        pi_overlap = self._inv_sqrt_n * self._segment_sums(products)
-        correction = (col[:, 0] - 1.0) * pi_overlap * self._inv_sqrt_n
-        self._values[:, 0] += np.repeat(correction, self._seg_lengths)
+        pi_projector_update(
+            self._values, self._class_sizes, self._segments, self._inv_sqrt_n, col[:, 0]
+        )
         return self._after_unitary()
 
     def apply_global_phase(self, phase: complex | np.ndarray) -> "RaggedClassVector":
@@ -342,12 +353,9 @@ class RaggedClassVector:
     def fidelities_with_targets(self, total_counts: Sequence[int]) -> np.ndarray:
         """Per-instance ``|⟨ψ_b, 0|state_b⟩|²`` against the Eq. (4) targets.
 
-        The batched form of
-        :func:`~repro.core.target.fidelity_with_target_classes`: the
-        target amplitude ``√(c/M_b)`` is a function of the count class,
-        so the overlaps are one product plane plus a contiguous
-        ``np.sum`` per segment — the same reduction tree as the
-        per-instance contraction.
+        The reduction :func:`~repro.core.target.fidelity_with_target_classes`
+        runs (:func:`~repro.qsim.classvector.target_fidelities`), over all
+        segments at once.
         """
         totals = np.asarray(total_counts, dtype=np.float64)
         if totals.shape != (self.batch_size,):
@@ -356,13 +364,7 @@ class RaggedClassVector:
             )
         if np.any(totals <= 0):
             raise ValidationError("every instance needs a nonempty joint database")
-        class_values = np.concatenate(
-            [np.arange(n, dtype=np.float64) for n in self._n_classes]
-        )
-        target = np.sqrt(class_values / np.repeat(totals, self._seg_lengths))
-        products = self._class_sizes * target * self._values[:, 0]
-        overlap = self._segment_sums(products)
-        return np.abs(overlap) ** 2
+        return target_fidelities(self._values, self._class_sizes, self._segments, totals)
 
     def output_probabilities(self, b: int) -> np.ndarray:
         """Born distribution of instance ``b``'s element register."""

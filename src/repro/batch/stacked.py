@@ -32,7 +32,12 @@ import numpy as np
 
 from ..config import CONFIG
 from ..errors import NotUnitaryError, ValidationError
-from ..qsim.classvector import ClassVector
+from ..qsim.classvector import (
+    ClassVector,
+    flag_unitary,
+    pi_projector_update,
+    target_fidelities,
+)
 from ..utils.validation import require
 
 
@@ -192,7 +197,10 @@ class StackedClassVector:
         expected = (self.batch_size, self.width, 2, 2)
         if mats.shape != expected:
             raise ValidationError(f"mats must have shape {expected}, got {mats.shape}")
-        self._amps = np.einsum("bcij,bcj->bci", mats, self._amps)
+        batch, width = self.batch_size, self.width
+        self._amps = flag_unitary(
+            mats.reshape(batch * width, 2, 2), self._amps.reshape(batch * width, 2)
+        ).reshape(batch, width, 2)
         return self._after_unitary()
 
     def apply_phase_slice(
@@ -223,15 +231,18 @@ class StackedClassVector:
 
         Per instance ``⟨π, 0|ψ_b⟩ = Σ_c N_{b,c} α[b,c,0] / √N_b`` and the
         rank-one update adds ``(e^{iϕ_b}−1)·⟨π,0|ψ_b⟩/√N_b`` to every
-        flag-0 amplitude of instance ``b``.
+        flag-0 amplitude of instance ``b`` — the shared
+        :func:`~repro.qsim.classvector.pi_projector_update` over the
+        padded plane (a padded instance therefore reduces over ``C``
+        cells, not its own ``ν_b + 1``).
         """
         require(element_reg == "i" and flag_reg == "w", "stacked registers are (i, w)")
         col = _as_phase_column(phase, self.batch_size)
-        pi_overlap = self._inv_sqrt_n * np.sum(
-            self._class_sizes * self._amps[:, :, 0], axis=1
+        cells = self._amps.reshape(-1, 2)
+        pi_projector_update(
+            cells, self._class_sizes.reshape(-1), self.width, self._inv_sqrt_n, col[:, 0]
         )
-        correction = (col[:, 0] - 1.0) * pi_overlap * self._inv_sqrt_n
-        self._amps[:, :, 0] += correction[:, None]
+        self._amps = cells.reshape(self._amps.shape)
         return self._after_unitary()
 
     def apply_global_phase(self, phase: complex | np.ndarray) -> "StackedClassVector":
@@ -246,8 +257,8 @@ class StackedClassVector:
 
         The target amplitude ``√(c/M_b)`` is a function of the count
         class, so all ``B`` overlaps contract in one ``(B, C)`` product —
-        the batched form of
-        :func:`~repro.core.target.fidelity_with_target_classes`.
+        the shared :func:`~repro.qsim.classvector.target_fidelities` over
+        the padded plane.
         """
         totals = np.asarray(total_counts, dtype=np.float64)
         if totals.shape != (self.batch_size,):
@@ -256,10 +267,9 @@ class StackedClassVector:
             )
         if np.any(totals <= 0):
             raise ValidationError("every instance needs a nonempty joint database")
-        class_values = np.arange(self.width, dtype=np.float64)
-        target = np.sqrt(class_values[None, :] / totals[:, None])
-        overlap = np.sum(self._class_sizes * target * self._amps[:, :, 0], axis=1)
-        return np.abs(overlap) ** 2
+        return target_fidelities(
+            self._amps.reshape(-1, 2), self._class_sizes.reshape(-1), self.width, totals
+        )
 
     def output_probabilities(self, b: int) -> np.ndarray:
         """Born distribution of instance ``b``'s element register.

@@ -55,39 +55,31 @@ class NumericsConfig:
         :class:`~repro.errors.SimulationLimitError` rather than attempting
         a massive allocation.  The ``classes`` backend
         (:class:`~repro.qsim.classvector.ClassVector`) is exempt — its
-        state is ``O(ν)`` regardless of ``N``.  Also the default
-        per-instance cap for dense *stacking*: the planner routes a
-        batch to the ``(B, N, 2)`` stacked subspace backend only while
-        ``2N`` fits, so stacked memory stays under
-        ``max_dense_dimension × B`` cells (overridable per run via
-        ``SamplingRequest.max_dense_dimension``).
+        state is ``O(ν)`` regardless of ``N``.  Also the cap of the
+        ``"auto"`` rule: it picks the dense ``subspace`` layout (for a
+        sequential request with ``M > N``) only while ``2N`` fits, so
+        stacked memory stays under ``max_dense_dimension × B`` cells
+        (overridable per run via ``SamplingRequest.max_dense_dimension``);
+        every other request already runs on a count-class substrate.
     stack_threshold:
         Minimum homogeneous group size at which the planner routes to a
         stacked batch engine (below it, per-batch Python overhead beats
         the tensor-stacking win — see bench_e23's throughput plateau).
     classes_universe_threshold:
-        Universe size at which backend auto-selection switches from the
-        dense representations to the ``O(ν)``-memory ``classes``
-        compression (the dense layouts' wall time crosses ``classes``
-        well before this; see benchmarks/_results/E22.json).
+        Universe size from which backend auto-selection always picks a
+        count-class substrate.  Below it, ``"auto"`` still picks a
+        class substrate for every request except a sequential one with
+        ``M > N`` (ν can then exceed N, and the dense ``subspace``
+        layout wins — 258 µs against 1305 µs for ``classes`` at
+        N=1024, M=16384).  The benchmark's traced ``offline-sweep``
+        reports the per-substrate costs behind the rule
+        (``batch.backends.kernel_us_per_inst.*``).
     shard_arena_bytes:
         Per-worker shared-memory arena capacity of the sharded serving
         tier (:class:`repro.serve.shard.ShardedSamplerService`).  Sized
         to hold several in-flight result batches; undersizing is safe —
         a full arena degrades that batch to pickling, surfaced as
         ``shm_fallback_batches`` in the tier telemetry.
-    ragged_fill_threshold:
-        Heterogeneity routing knob for the batched engine and the
-        serving tiers.  When positive, a ``classes``-bound batch whose
-        padded fill ratio ``Σ(νᵢ+1) / (B·max(νᵢ+1))`` would fall below
-        this threshold (and that actually mixes schedule shapes or ν
-        widths) is rerouted to the CSR-packed ``ragged`` substrate
-        (:class:`repro.batch.ragged.RaggedClassBackend`), and the
-        serving packers pool mixed-shape ``classes`` traffic under one
-        ragged key instead of fragmenting per schedule shape.  ``0.0``
-        (the default) disables the rerouting, keeping backend labels of
-        existing pinned runs stable; ``backend="ragged"`` always opts
-        in explicitly regardless of this knob.
     """
 
     atol: float = 1e-10
@@ -96,7 +88,6 @@ class NumericsConfig:
     stack_threshold: int = 64
     classes_universe_threshold: int = 10**5
     shard_arena_bytes: int = 1 << 24
-    ragged_fill_threshold: float = 0.0
 
     @property
     def strict_checks(self) -> bool:

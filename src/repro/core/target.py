@@ -55,14 +55,11 @@ def fidelity_with_target_classes(db: DistributedDatabase, state) -> float:
 
     In class coordinates ``⟨ψ, 0|state⟩ = Σ_c N_c √(c/M) α[c, 0]`` — the
     target amplitude ``√(c_i/M)`` is itself a function of the count class,
-    so the overlap contracts in ``O(ν)`` without expanding the state.
+    so the overlap contracts in ``O(ν)`` without expanding the state
+    (:func:`repro.qsim.classvector.target_fidelities`, the reduction the
+    stacked class substrates share).
     """
     total = db.total_count
     if total <= 0:
         raise EmptyDatabaseError("the joint database is empty; |ψ⟩ is undefined")
-    class_values = np.arange(state.n_classes, dtype=np.float64)
-    target_per_class = np.sqrt(class_values / total)
-    overlap = np.sum(
-        state.class_sizes * target_per_class * state.class_amplitudes()[:, 0]
-    )
-    return float(abs(overlap) ** 2)
+    return state.fidelity_with_target(total)

@@ -28,6 +28,17 @@ and the analysis/verification layers consume from
 ``apply_pi_projector_phase``, ``apply_global_phase``, ``layout``,
 ``marginal_probabilities``, ``probability_of``, ``norm``), so it drops in
 as a backend substrate without special-casing the control flow.
+
+The kernels whose rounding decides a row's last ulp — the flag unitary,
+the ``π``-projector update and the target-overlap fidelity — are
+module-level functions over a segmented cell plane (:func:`flag_unitary`,
+:func:`pi_projector_update`, :func:`target_fidelities`).  A
+:class:`ClassVector` calls them as a one-segment plane; the stacked class
+substrates (:mod:`repro.batch.ragged`, :mod:`repro.batch.stacked`) call
+them on their packed planes, so a stacked row equals the per-instance row
+bit for bit.  Phases, overlaps and fidelities are always computed as
+arrays: NumPy's scalar complex arithmetic rounds products differently
+from its array loops.
 """
 
 from __future__ import annotations
@@ -38,6 +49,87 @@ from ..config import CONFIG
 from ..errors import NotUnitaryError, ValidationError
 from ..utils.validation import require
 from .register import RegisterLayout
+
+
+# -- the shared class kernels ------------------------------------------------------
+
+
+def segment_sums(plane: np.ndarray, segments: int | np.ndarray) -> np.ndarray:
+    """``np.sum`` of each segment of ``plane``, one value per segment.
+
+    ``segments`` is the common width of equal segments tiling the whole
+    plane, or the ``(B + 1,)`` CSR offsets of unequal ones.  Each segment
+    reduces with NumPy's pairwise tree over exactly its own length — what
+    one instance reducing its own array does; equal widths take one
+    row-wise reduction of the ``(B, w)`` view, which runs the same tree
+    per row.  ``np.add.reduceat`` sums sequentially and differs in the
+    last ulp, so it never touches amplitudes or overlaps.
+    """
+    if isinstance(segments, (int, np.integer)):
+        return np.sum(plane.reshape(-1, segments), axis=1)
+    out = np.empty(segments.size - 1, dtype=plane.dtype)
+    for b in range(out.size):
+        out[b] = np.sum(plane[segments[b] : segments[b + 1]])
+    return out
+
+
+def _segment_lengths(segments: int | np.ndarray) -> int | np.ndarray:
+    """Repeat counts that broadcast one value per segment onto its cells."""
+    if isinstance(segments, (int, np.integer)):
+        return int(segments)
+    return np.diff(segments)
+
+
+def flag_unitary(mats: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Per-cell 2×2 flag unitaries: ``cells[c] ← mats[c] @ cells[c]`` (``D``)."""
+    return np.einsum("cab,cb->ca", mats, cells)
+
+
+def pi_projector_update(
+    cells: np.ndarray,
+    class_sizes: np.ndarray,
+    segments: int | np.ndarray,
+    inv_sqrt_n: np.ndarray,
+    phases: np.ndarray,
+) -> None:
+    """``S_π(ϕ_b)`` on every segment of ``cells``, in place.
+
+    Per segment ``⟨π,0|ψ_b⟩ = Σ_c N_{b,c} α[c,0] / √N_b`` and the
+    rank-one update adds ``(e^{iϕ_b} − 1)·⟨π,0|ψ_b⟩/√N_b`` to each of the
+    segment's flag-0 cells.  ``segments`` is as in :func:`segment_sums`;
+    ``inv_sqrt_n`` and ``phases`` are ``(B,)`` arrays.
+    """
+    pi_overlap = inv_sqrt_n * segment_sums(class_sizes * cells[:, 0], segments)
+    correction = (phases - 1.0) * pi_overlap * inv_sqrt_n
+    if isinstance(segments, (int, np.integer)):
+        flag0 = cells[:, 0].reshape(-1, segments)  # a view: splits one axis
+        flag0 += correction[:, None]
+    else:
+        cells[:, 0] += np.repeat(correction, np.diff(segments))
+
+
+def target_fidelities(
+    cells: np.ndarray,
+    class_sizes: np.ndarray,
+    segments: int | np.ndarray,
+    totals: np.ndarray,
+) -> np.ndarray:
+    """Per-segment ``|⟨ψ_b, 0|state_b⟩|²`` against the Eq. (4) targets.
+
+    The target amplitude ``√(c/M_b)`` is a function of the count class
+    ``c`` (a cell's position in its segment), so each overlap is one
+    product plane and one segment sum, in ``O(Σ ν_b)``.  ``segments`` is
+    as in :func:`segment_sums`; ``totals`` holds the ``(B,)`` masses
+    ``M_b``.
+    """
+    lengths = _segment_lengths(segments)
+    if isinstance(lengths, int):
+        class_values = np.tile(np.arange(lengths, dtype=np.float64), totals.size)
+    else:
+        starts = np.repeat(segments[:-1], lengths)
+        class_values = (np.arange(starts.size) - starts).astype(np.float64)
+    target = np.sqrt(class_values / np.repeat(totals, lengths))
+    return np.abs(segment_sums(class_sizes * target * cells[:, 0], segments)) ** 2
 
 
 class ClassVector:
@@ -213,7 +305,7 @@ class ClassVector:
             raise ValidationError(
                 f"mats must have shape ({self.n_classes}, 2, 2), got {mats.shape}"
             )
-        self._amps = np.einsum("cab,cb->ca", mats, self._amps)
+        self._amps = flag_unitary(mats, self._amps)
         return self._after_unitary()
 
     def apply_phase_slice(self, reg: str, value: int, phase: complex) -> "ClassVector":
@@ -247,9 +339,13 @@ class ClassVector:
         if abs(abs(phase) - 1.0) > CONFIG.atol:
             raise NotUnitaryError(f"phase must have unit modulus, got |{phase}| = {abs(phase)}")
         require(element_reg == "i" and flag_reg == "w", "ClassVector registers are (i, w)")
-        inv_sqrt_n = 1.0 / np.sqrt(self.n_elements)
-        pi_overlap = inv_sqrt_n * np.sum(self._class_sizes * self._amps[:, 0])
-        self._amps[:, 0] += (phase - 1.0) * pi_overlap * inv_sqrt_n
+        pi_projector_update(
+            self._amps,
+            self._class_sizes,
+            self.n_classes,
+            1.0 / np.sqrt(np.array([self.n_elements], dtype=np.float64)),
+            np.array([phase], dtype=np.complex128),
+        )
         return self._after_unitary()
 
     def apply_global_phase(self, phase: complex) -> "ClassVector":
@@ -258,6 +354,17 @@ class ClassVector:
             raise NotUnitaryError(f"phase must have unit modulus, got |{phase}| = {abs(phase)}")
         self._amps *= phase
         return self._after_unitary()
+
+    def fidelity_with_target(self, total: int) -> float:
+        """``|⟨ψ, 0|state⟩|²`` against the Eq. (4) target of an ``M = total`` database."""
+        return float(
+            target_fidelities(
+                self._amps,
+                self._class_sizes,
+                self.n_classes,
+                np.array([total], dtype=np.float64),
+            )[0]
+        )
 
     # -- dynamic updates ---------------------------------------------------------
 

@@ -10,7 +10,8 @@ a continuously-fed serving loop on top of the stacked ``classes`` engine:
   :class:`ServedRequest` future back immediately;
 * **pack** — a dispatcher thread materializes each request, solves its
   (memoized) amplification plan, resolves its stacked substrate
-  (``backend="auto"`` picks per request by universe size) and re-packs
+  (``backend="auto"`` picks per request from its declared ``(N, M)``)
+  and re-packs
   in-flight requests into backend × schedule-shape groups
   (:class:`~repro.serve.packer.ShapePacker`), flushing groups when full
   *or* when their oldest request hits the flush deadline — so the
@@ -54,7 +55,6 @@ from ..batch.backends import (
 )
 from ..batch.driver import DEFAULT_BATCH_SIZE, RowFn, audit_row, default_row
 from ..batch.engine import ClassInstance, cached_plan, execute_class_batch
-from ..config import CONFIG
 from ..core.result import SamplingResult
 from ..database.dynamic import UpdateStream
 from ..database.fault import apply_fault_mask
@@ -262,15 +262,13 @@ class SamplerService:
         pools into **one** group per flush instead of one group per
         shape), ``"subspace"`` / ``"synced"`` (the ``(B, N, 2)`` dense
         tensors for small/medium-``N`` sequential / parallel traffic),
-        or ``"auto"`` to resolve per request by universe size
-        (:func:`~repro.batch.backends.auto_stacked_backend`); when
-        :attr:`repro.config.NumericsConfig.ragged_fill_threshold` is
-        positive, auto traffic that resolves to ``classes`` pools into
-        the ragged group as well.  The packer keys groups by resolved
-        backend, so a mixed-``N`` auto stream packs dense and
-        compressed batches side by side.  Live snapshots run on the
-        class substrates — an explicit ``"subspace"``/``"synced"``
-        service therefore rejects :meth:`submit_live` (the front-door
+        or ``"auto"`` to resolve each spec request from its declared
+        ``(N, M)`` (:func:`~repro.batch.backends.auto_stacked_backend`):
+        class-bound traffic pools into the one ragged group, sequential
+        ``M > N`` traffic packs per shape on ``subspace``, and live
+        snapshots run on ``classes``.  Live snapshots need a class
+        substrate, so an explicit ``"subspace"``/``"synced"`` service
+        rejects :meth:`submit_live` (the front-door
         planner raises the matching :class:`PlanningError`).
     max_dense_dimension:
         Per-service override of the dense-stacking memory cap the
@@ -555,14 +553,11 @@ class SamplerService:
 
         Live snapshots run a class substrate (``ragged`` on a ragged
         service, ``classes`` otherwise); ``backend="auto"`` resolves
-        spec requests per universe size, so a mixed-``N`` stream packs
-        dense and compressed groups side by side without ever mixing
-        representations in one tensor.  Class-substrate traffic pools
-        into the single shape-free ragged group when the service is
-        pinned to ``"ragged"`` or the live
-        :attr:`~repro.config.NumericsConfig.ragged_fill_threshold` is
-        positive — mixed shapes then fill one tensor instead of
-        fragmenting across per-shape groups.
+        spec requests from their declared ``(N, M)``, so a mixed stream
+        packs dense and class groups side by side without ever mixing
+        representations in one tensor.  ``ragged`` traffic pools into
+        the single shape-free group — mixed shapes fill one tensor
+        instead of fragmenting across per-shape groups.
         """
         try:
             live = request.spec is None
@@ -577,21 +572,14 @@ class SamplerService:
             if live:
                 backend = "ragged" if self._backend == "ragged" else "classes"
             elif self._backend == AUTO_STACKED_BACKEND:
+                assert request.spec is not None
                 backend = auto_stacked_backend(
                     self._model,
-                    request._instance.universe,
+                    *request.spec.declared_shape(),
                     max_dense_dimension=self._max_dense_dimension,
                 )
             else:
                 backend = self._backend
-            if (
-                backend == "classes"
-                and self._backend == AUTO_STACKED_BACKEND
-                and CONFIG.ragged_fill_threshold > 0
-            ):
-                # Mirrors the engine's auto-only reroute: an explicit
-                # "classes" pin keeps its label and per-shape groups.
-                backend = "ragged"
         except BaseException as error:  # bad spec/plan: fail just this request
             request._fail(error)
             _finish_trace(request, error)

@@ -16,9 +16,10 @@ The moving parts:
   determines its schedule shape without building anything) with a stable
   CRC-32, so repeats of one workload shape always land on the same
   shard and its packer fills whole same-shape batches instead of ``1/n``
-  fragments on every shard; ragged-pooled class traffic collapses its
-  key to the substrate alone, so a heterogeneous mixed-``ν`` trickle
-  converges on one shard's CSR-packed groups instead of fragmenting;
+  fragments on every shard; on a service pinned to ``"ragged"`` the key
+  collapses to the substrate alone, so a heterogeneous mixed-``ν``
+  trickle converges on one shard's CSR-packed groups instead of
+  fragmenting;
 * **zero-copy result handoff** — each worker owns a
   :class:`~repro.serve.shm.ShmArena`; finished batches come back as a
   small pickled control message (indices, rows, plain-scalar meta, an
@@ -122,11 +123,11 @@ def _affinity(
     batches where a round-robin split would flush ``1/shards`` fragments
     everywhere.
 
-    ``pooled`` requests (ragged class traffic) drop the recipe and ``ν``
-    from the key: the CSR substrate packs *mixed* shapes into one
-    tensor, so spreading a heterogeneous trickle across shards would
-    only re-fragment what the ragged group exists to pool.  The fault
-    mask stays — degraded topologies still batch apart.
+    ``pooled`` requests (a service pinned to ``"ragged"``) drop the
+    recipe and ``ν`` from the key: the CSR substrate packs *mixed*
+    shapes into one tensor, so spreading a heterogeneous trickle across
+    shards would only re-fragment what the ragged group exists to pool.
+    The fault mask stays — degraded topologies still batch apart.
     """
     mask = "" if fault_mask is None else f"|mask={','.join(map(str, fault_mask))}"
     if pooled:
@@ -198,15 +199,15 @@ def _worker_prepare(work: _Work, config: dict) -> tuple:
         # ragged service.
         backend = "ragged" if config["backend"] == "ragged" else "classes"
     elif config["backend"] == AUTO_STACKED_BACKEND:
+        # The dispatcher's rule on the declared (N, M): the same label
+        # the planner and the in-process service give this request.
         backend = auto_stacked_backend(
             config["model"],
-            work.instance.universe,
+            *work.spec.declared_shape(),
             max_dense_dimension=config["max_dense_dimension"],
         )
     else:
         backend = config["backend"]
-    if backend == "classes" and config.get("ragged_pooling"):
-        backend = "ragged"
     work.backend = backend
     if backend == "ragged":
         # One shape-free pooled group: mixed schedules run the masked loop.
@@ -450,15 +451,6 @@ class ShardedSamplerService:
             "skip_zero_capacity": skip,
             "backend": backend,
             "max_dense_dimension": max_dense_dimension,
-            # Captured at construction (workers fork with it): pool class
-            # traffic into shape-free ragged groups when the service is
-            # pinned to "ragged", or on "auto" when the live config's
-            # ragged_fill_threshold opts heterogeneous packing in.
-            "ragged_pooling": backend == "ragged"
-            or (
-                backend == AUTO_STACKED_BACKEND
-                and CONFIG.ragged_fill_threshold > 0
-            ),
             "row_fn": row_fn,
             "arena_bytes": (
                 CONFIG.shard_arena_bytes if arena_bytes is None else arena_bytes
@@ -599,7 +591,7 @@ class ShardedSamplerService:
                 request.label,
                 self._backend,
                 request.fault_mask,
-                pooled=self._would_pool(request),
+                pooled=self._backend == "ragged",
             ),
             self._n_shards,
         )
@@ -624,30 +616,6 @@ class ShardedSamplerService:
             shard.send(message)
         self.recorder.record(
             "route", index=request.index, shard=shard_id, retries=retries
-        )
-
-    def _would_pool(self, request: ServedRequest) -> bool:
-        """Whether this request lands in the shape-free ragged pool.
-
-        Mirrors the worker's substrate resolution without building
-        anything: the spec's declared universe decides the auto route
-        (unknown-universe recipes pool conservatively — the worker still
-        resolves them correctly; only the shard choice is heuristic).
-        """
-        if not self._config["ragged_pooling"]:
-            return False
-        if self._backend == "ragged" or request.spec is None:
-            return True
-        universe = dict(request.spec.workload.params).get("universe")
-        if universe is None:
-            return True
-        return (
-            auto_stacked_backend(
-                self._model,
-                int(universe),  # type: ignore[call-overload]
-                max_dense_dimension=self._config["max_dense_dimension"],
-            )
-            == "classes"
         )
 
     # -- results & telemetry ------------------------------------------------------

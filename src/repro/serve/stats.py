@@ -29,7 +29,8 @@ plain-scalar dict ready for report tables and JSON artifacts:
     batches (``Σ_batch (B·max(w) − Σ w)`` over each batch's per-instance
     widths).  Ragged batches contribute zero — that is the point of the
     CSR packing; a high count on a mixed-shape stream is the signal to
-    enable it (:attr:`repro.config.NumericsConfig.ragged_fill_threshold`).
+    serve it on ``backend="ragged"`` (which ``"auto"`` picks for class
+    traffic).
 ``p50_latency`` / ``p99_latency``
     Submit-to-completion percentiles over a bounded window of recent
     requests (:data:`LATENCY_WINDOW`), so a long-lived service reports

@@ -177,12 +177,15 @@ class TestServedStrategy:
 
     def test_served_requests_honor_max_dense_dimension(self):
         """serve() must apply the request's dense cap exactly like
-        repro.sample does — auto falls back to classes when 2N > cap."""
+        repro.sample does — auto falls back to the class plane when
+        2N > cap, even for the sequential M > N shape it runs dense."""
         request = SamplingRequest(
-            spec=spec_of(), include_probabilities=False, max_dense_dimension=8
+            spec=spec_of(total=256), include_probabilities=False, max_dense_dimension=8
         )
         results = serve([request], rng=0)
-        assert results[0].backend == "classes"
+        assert results[0].backend == "ragged"
+        uncapped = SamplingRequest(spec=spec_of(total=256), include_probabilities=False)
+        assert serve([uncapped], rng=0)[0].backend == "subspace"
 
     def test_served_streams_homogeneous_in_dense_cap(self):
         from repro.errors import PlanningError

@@ -21,8 +21,13 @@ def spec_of(universe=64, total=24, n=2):
     )
 
 
-def spec_request(universe=64, **kwargs):
-    return SamplingRequest(spec=spec_of(universe=universe), **kwargs)
+def spec_request(universe=64, total=24, **kwargs):
+    return SamplingRequest(spec=spec_of(universe=universe, total=total), **kwargs)
+
+
+def dense_request(**kwargs):
+    """A sequential request with M > N: the one case ``auto`` runs dense."""
+    return spec_request(universe=64, total=256, **kwargs)
 
 
 @pytest.fixture
@@ -31,25 +36,35 @@ def planner():
 
 
 class TestAutoBackend:
-    """The acceptance bar: classes chosen for N ≥ 10⁵, dense below."""
+    """The acceptance bar: classes for N ≥ 10⁵ and for every request with
+    M ≤ N or the parallel model; subspace only for sequential M > N."""
 
     def test_classes_at_scale(self, planner):
         assert planner.auto_backend("sequential", CLASSES_UNIVERSE_THRESHOLD) == "classes"
         assert planner.auto_backend("parallel", 10**6) == "classes"
 
     def test_dense_fast_path_below_threshold(self, planner):
-        assert planner.auto_backend("sequential", 64) == "subspace"
-        assert planner.auto_backend("parallel", 64) == "synced"
+        assert planner.auto_backend("sequential", 64, total=256) == "subspace"
         assert (
-            planner.auto_backend("sequential", CLASSES_UNIVERSE_THRESHOLD - 1)
+            planner.auto_backend(
+                "sequential",
+                CLASSES_UNIVERSE_THRESHOLD - 1,
+                total=CLASSES_UNIVERSE_THRESHOLD,
+            )
             == "subspace"
         )
+        # ν ≤ M ≤ N: the class cells never outnumber the dense ones.
+        assert planner.auto_backend("sequential", 64, total=64) == "classes"
+        assert planner.auto_backend("sequential", 64) == "classes"  # M undeclared
+        assert planner.auto_backend("parallel", 64, total=256) == "classes"
 
     def test_plan_resolves_auto_by_universe(self, planner):
-        small = planner.plan(spec_request(universe=64))
-        large = planner.plan(spec_request(universe=10**5))
+        small = planner.plan(dense_request())
+        large = planner.plan(spec_request(universe=10**5, total=4 * 10**5))
+        sparse = planner.plan(spec_request(universe=64, total=24))
         assert small.backends() == ("subspace",)
         assert large.backends() == ("classes",)
+        assert sparse.backends() == ("classes",)
 
     def test_explicit_backend_respected(self, planner):
         plan = planner.plan(spec_request(backend="oracles"))
@@ -75,52 +90,56 @@ class TestAutoBackend:
 
 class TestAutoStrategy:
     """The acceptance bar: stacked engine chosen for homogeneous B ≥ 64,
-    with the stacked substrate picked by universe size."""
+    with the stacked substrate picked by the declared (N, M)."""
 
     def test_single_request_runs_per_instance(self, planner):
         assert planner.plan(spec_request()).strategies() == ("instance",)
 
     def test_homogeneous_small_n_group_stacks_dense(self, planner):
         """The stacked-dense branch: a homogeneous small-N sequential
-        group of B ≥ threshold routes to the (B, N, 2) subspace stack."""
-        plan = planner.plan_many([spec_request() for _ in range(STACK_THRESHOLD)])
+        group with M > N and B ≥ threshold routes to the (B, N, 2)
+        subspace stack."""
+        plan = planner.plan_many([dense_request() for _ in range(STACK_THRESHOLD)])
         assert set(plan.strategies()) == {"stacked"}
         assert set(plan.backends()) == {"subspace"}
         assert len(plan.groups) == 1 and plan.groups[0].strategy == "stacked"
 
     def test_homogeneous_large_n_group_stacks_classes(self, planner):
+        """Stacked class traffic runs on the padding-free class plane."""
         plan = planner.plan_many(
-            [spec_request(universe=10**5) for _ in range(STACK_THRESHOLD)]
+            [spec_request(universe=10**5, total=4 * 10**5)
+             for _ in range(STACK_THRESHOLD)]
         )
         assert set(plan.strategies()) == {"stacked"}
-        assert set(plan.backends()) == {"classes"}
+        assert set(plan.backends()) == {"ragged"}
 
-    def test_parallel_groups_stack_on_synced(self, planner):
-        """Parallel dense-eligible groups ride the (B, N, 2) synced stack."""
+    def test_parallel_groups_stack_on_ragged(self, planner):
+        """Parallel groups ride the class plane at every N, M > N too."""
         plan = planner.plan_many(
-            [spec_request(model="parallel") for _ in range(STACK_THRESHOLD)]
+            [dense_request(model="parallel") for _ in range(STACK_THRESHOLD)]
         )
         assert set(plan.strategies()) == {"stacked"}
-        assert set(plan.backends()) == {"synced"}
+        assert set(plan.backends()) == {"ragged"}
 
     def test_max_dense_dimension_override_forces_classes(self, planner):
         """The per-request cap: 2N over the override → the dense stack
         (and the dense per-instance fast path) are off the table."""
         capped = [
-            spec_request(max_dense_dimension=64)
+            dense_request(max_dense_dimension=64)
             for _ in range(STACK_THRESHOLD)
         ]
         plan = planner.plan_many(capped)
         assert set(plan.strategies()) == {"stacked"}
-        assert set(plan.backends()) == {"classes"}
-        single = planner.plan(spec_request(max_dense_dimension=64))
+        assert set(plan.backends()) == {"ragged"}
+        single = planner.plan(dense_request(max_dense_dimension=64))
         assert single.backends() == ("classes",)
+        assert planner.plan(dense_request()).backends() == ("subspace",)
 
     def test_mixed_universes_split_stacked_groups_by_backend(self, planner):
-        small = [spec_request(batchable=True) for _ in range(2)]
+        small = [dense_request(batchable=True) for _ in range(2)]
         large = [spec_request(universe=10**5, batchable=True) for _ in range(2)]
         plan = planner.plan_many(small + large)
-        assert plan.backends() == ("subspace", "subspace", "classes", "classes")
+        assert plan.backends() == ("subspace", "subspace", "ragged", "ragged")
         assert len(plan.groups) == 2
 
     def test_below_threshold_runs_per_instance(self, planner):
@@ -135,7 +154,7 @@ class TestAutoStrategy:
         """A sibling's hint must not reroute hint-less requests."""
         plan = planner.plan_many([spec_request(), spec_request(batchable=True)])
         assert plan.strategies() == ("instance", "stacked")
-        assert plan.backends() == ("subspace", "subspace")
+        assert plan.backends() == ("classes", "ragged")
 
     def test_batchable_false_pins_to_instance(self, planner):
         plan = planner.plan_many(
@@ -203,7 +222,8 @@ class TestAutoStrategy:
         planner = Planner(stack_threshold=2, classes_universe_threshold=32)
         plan = planner.plan_many([spec_request()] * 2)
         assert set(plan.strategies()) == {"stacked"}
-        assert planner.auto_backend("sequential", 32) == "classes"
+        assert planner.auto_backend("sequential", 32, total=256) == "classes"
+        assert planner.auto_backend("sequential", 31, total=256) == "subspace"
 
     def test_thresholds_come_from_config(self):
         """One definition: the planner's defaults are the config fields."""
@@ -230,12 +250,12 @@ class TestAutoStrategy:
 
 class TestForcedStrategy:
     def test_forced_stacked(self, planner):
-        plan = planner.plan(spec_request(), strategy="stacked")
+        plan = planner.plan(dense_request(), strategy="stacked")
         assert plan.strategies() == ("stacked",)
-        # auto resolution still applies: small-N sequential → dense stack.
+        # auto resolution still applies: small-N sequential M > N → dense stack.
         assert plan.backends() == ("subspace",)
         large = planner.plan(spec_request(universe=10**5), strategy="stacked")
-        assert large.backends() == ("classes",)
+        assert large.backends() == ("ragged",)
 
     def test_forced_fanout_and_served(self, planner):
         fanout = planner.plan(spec_request(), strategy="fanout", jobs=2)

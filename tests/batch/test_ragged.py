@@ -21,7 +21,9 @@ from repro.batch import (
 )
 from repro.batch.ragged import RaggedClassBackend
 from repro.config import CONFIG, strict_mode
+from repro.core import ParallelSampler, SequentialSampler
 from repro.database import DistributedDatabase
+from repro.database.fault import apply_fault_mask
 from repro.errors import ValidationError
 from repro.utils.rng import as_generator
 
@@ -111,9 +113,9 @@ class TestBitIdentity:
         assert all(r.exact for r in results)
 
     def test_auto_reroutes_heterogeneous_batches(self):
-        """With the threshold armed, an auto mixed-ν batch goes ragged;
-        with it at 0 (the default) auto keeps the per-shape classes path.
-        Rows must agree bit for bit either way."""
+        """auto's default puts a mixed-ν class-bound batch on ragged — one
+        unpadded group — with every row bit-identical to that instance's
+        own classes run."""
         counts = np.zeros((2, CONFIG.classes_universe_threshold), dtype=np.int64)
         dbs = []
         for b, nu in enumerate((2, 8, 3, 6)):
@@ -122,25 +124,65 @@ class TestBitIdentity:
             wide[1, 2 + b] = nu
             dbs.append(DistributedDatabase.from_count_matrix(wide, nu=nu))
         assert padded_fill_ratio([db.nu + 1 for db in dbs]) < 0.95
-        before = CONFIG.ragged_fill_threshold
-        try:
-            CONFIG.ragged_fill_threshold = 0.0
-            padded = execute_sampling_batch(
-                dbs, model="sequential", backend="auto", include_probabilities=True
+        ragged = execute_sampling_batch(
+            dbs, model="sequential", backend="auto", include_probabilities=True
+        )
+        assert {r.backend for r in ragged} == {"ragged"}
+        for db, ours in zip(dbs, ragged):
+            [reference] = execute_sampling_batch(
+                [db], model="sequential", backend="classes", include_probabilities=True
             )
-            assert {r.backend for r in padded} == {"classes"}
-            CONFIG.ragged_fill_threshold = 0.95
-            ragged = execute_sampling_batch(
-                dbs, model="sequential", backend="auto", include_probabilities=True
+            assert_row_bit_identical(ours, reference)
+
+
+def masked_database(rng: np.random.Generator) -> DistributedDatabase:
+    """A random database with one machine lost, when that leaves data."""
+    db = random_database(rng)
+    lost = int(rng.integers(db.n_machines))
+    masked = apply_fault_mask(db, (lost,))
+    return masked if masked.total_count > 0 else db
+
+
+class TestPerInstanceContract:
+    """The contract ``auto`` relies on: a row is the same float for float
+    whether it runs alone on the per-instance ``classes`` sampler, as a
+    one-instance ``classes`` stack, or inside a mixed-ν ``ragged`` batch
+    — under the capacity-aware schedule and a fault mask too."""
+
+    @pytest.mark.parametrize("model", ["sequential", "parallel"])
+    @pytest.mark.parametrize("seed", [4, 5, 6])
+    def test_three_paths_agree_bit_for_bit(self, model, seed):
+        rng = as_generator(7000 * seed)
+        dbs = [masked_database(rng) for _ in range(8)]
+        assert len({db.nu for db in dbs}) > 1  # a genuinely mixed-ν batch
+        sampler_cls = SequentialSampler if model == "sequential" else ParallelSampler
+        mixed = execute_sampling_batch(
+            dbs, model=model, backend="ragged", skip_zero_capacity=True
+        )
+        for db, in_batch in zip(dbs, mixed):
+            reference = sampler_cls(
+                db, backend="classes", skip_zero_capacity=True
+            ).run()
+            [alone] = execute_sampling_batch(
+                [db], model=model, backend="classes", skip_zero_capacity=True
             )
-            assert {r.backend for r in ragged} == {"ragged"}
-        finally:
-            CONFIG.ragged_fill_threshold = before
-        for ours, ref in zip(ragged, padded):
-            assert ours.fidelity == ref.fidelity
-            np.testing.assert_array_equal(
-                ours.output_probabilities, ref.output_probabilities
-            )
+            assert_row_bit_identical(alone, reference)
+            assert_row_bit_identical(in_batch, reference)
+
+    def test_served_classes_rows_equal_instance_rows(self):
+        """A masked scenario trace: the served class plane and the
+        per-instance classes sampler give the same fidelity, to the bit."""
+        from repro import sample_many, serve
+        from repro.scenarios import resolve_scenario
+
+        requests = resolve_scenario("disjoint-loss").requests(
+            4, seeds=[700 + i for i in range(4)]
+        )
+        served = serve(requests, batch_size=4)
+        instance = sample_many(requests, strategy="instance")
+        assert [r.backend for r in served] == ["ragged"] * 4
+        assert [r.backend for r in instance] == ["classes"] * 4
+        assert served.column("fidelity") == instance.column("fidelity")
 
 
 #: One instance: (universe size, class count), kept tiny so the grid
@@ -295,5 +337,5 @@ class TestValidation:
             [np.zeros(4, dtype=np.int64), np.zeros(2, dtype=np.int64)], [4, 2]
         )
         # the property reports the fill a PADDED stack of these widths
-        # would get — the signal ragged_fill_threshold compares against.
+        # would get — the padding the CSR packing avoids.
         assert state.fill_ratio == padded_fill_ratio([4, 2]) == 0.75

@@ -146,39 +146,48 @@ class TestSyncedBitIdentity:
             )
 
 
+def dense_bound_database(universe: int = 32) -> DistributedDatabase:
+    """M = 4N > N: the one shape ``auto`` stacks densely (sequential)."""
+    counts = np.full((2, universe), 2, dtype=np.int64)
+    return DistributedDatabase.from_count_matrix(counts, nu=4)
+
+
 class TestAutoResolution:
     def test_auto_picks_subspace_below_threshold(self):
-        assert auto_stacked_backend("sequential", 64) == "subspace"
-        assert auto_stacked_backend("sequential", CONFIG.classes_universe_threshold) == (
-            "classes"
-        )
-        assert auto_stacked_backend("parallel", 64) == "synced"
-        assert auto_stacked_backend("parallel", CONFIG.classes_universe_threshold) == (
-            "classes"
-        )
+        threshold = CONFIG.classes_universe_threshold
+        assert auto_stacked_backend("sequential", 64, 256) == "subspace"
+        assert auto_stacked_backend("sequential", threshold, 4 * threshold) == "ragged"
+        assert auto_stacked_backend("sequential", 64, 64) == "ragged"
+        assert auto_stacked_backend("sequential", 64) == "ragged"
+        assert auto_stacked_backend("parallel", 64, 256) == "ragged"
+        assert auto_stacked_backend("parallel", threshold, 4 * threshold) == "ragged"
+        assert auto_stacked_backend("sequential", 64, 256, stacked=False) == "subspace"
+        assert auto_stacked_backend("parallel", 64, 256, stacked=False) == "classes"
 
     def test_auto_respects_dense_cap_override(self):
-        assert auto_stacked_backend("sequential", 64, max_dense_dimension=64) == (
-            "classes"
+        assert auto_stacked_backend("sequential", 64, 256, max_dense_dimension=64) == (
+            "ragged"
         )
-        assert auto_stacked_backend("sequential", 32, max_dense_dimension=64) == (
+        assert auto_stacked_backend("sequential", 32, 256, max_dense_dimension=64) == (
             "subspace"
         )
 
     def test_auto_batch_splits_by_backend(self):
-        rng = as_generator(11)
-        small = random_database(rng, universe=32)
+        small = dense_bound_database()
         counts = np.zeros((2, CONFIG.classes_universe_threshold), dtype=np.int64)
         counts[0, :8] = 2
         counts[1, :8] = 2
         large = DistributedDatabase.from_count_matrix(counts, nu=8)
+        sparse = random_database(as_generator(11), universe=32)
         results = execute_sampling_batch(
-            [small, large, small],
+            [small, large, small, sparse],
             model="sequential",
             backend="auto",
             include_probabilities=False,
         )
-        assert [r.backend for r in results] == ["subspace", "classes", "subspace"]
+        assert [r.backend for r in results] == [
+            "subspace", "ragged", "subspace", "ragged"
+        ]
         assert all(r.exact for r in results)
 
     def test_registry_names(self):
@@ -202,17 +211,15 @@ class TestAutoResolution:
 
 class TestMemoryGuard:
     def test_oversized_dense_stack_raises_simulation_limit(self):
-        counts = np.zeros((1, 64), dtype=np.int64)
-        counts[0, :4] = 2
-        db = DistributedDatabase.from_count_matrix(counts, nu=4)
+        db = dense_bound_database(universe=64)  # M > N: auto's dense case
         before = CONFIG.max_dense_dimension
         CONFIG.max_dense_dimension = 100  # 2N = 128 > 100
         try:
             with pytest.raises(SimulationLimitError):
                 execute_sampling_batch([db], model="sequential", backend="subspace")
-            # auto falls back to classes instead of raising.
+            # auto falls back to the class substrate instead of raising.
             [result] = execute_sampling_batch([db], model="sequential", backend="auto")
-            assert result.backend == "classes"
+            assert result.backend == "ragged"
         finally:
             CONFIG.max_dense_dimension = before
 

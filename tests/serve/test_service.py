@@ -207,13 +207,13 @@ class TestStackedDenseServing:
         assert all(row["backend"] == "subspace" for row in rows)
 
     def test_auto_backend_resolves_per_request_universe(self):
-        """A mixed-N auto stream packs dense and compressed batches side
+        """A mixed auto stream packs dense and compressed batches side
         by side — the packer key carries the resolved backend."""
-        small = spec_of(24, tag="small")  # universe 64 → subspace
+        small = spec_of(256, tag="small")  # universe 64, M > N → subspace
         large = InstanceSpec(
             workload=WorkloadSpec.of("zipf", universe=10**5, total=64),
             n_machines=2,
-            tag="large",  # universe ≥ threshold → classes
+            tag="large",  # M ≤ N → the class plane
         )
         with SamplerService(
             rng=3, batch_size=8, flush_deadline=0.01, backend="auto"
@@ -224,7 +224,7 @@ class TestStackedDenseServing:
             }
             results = {k: f.result(timeout=WAIT) for k, f in futures.items()}
         assert results["small"].backend == "subspace"
-        assert results["large"].backend == "classes"
+        assert results["large"].backend == "ragged"
         assert all(r.exact for r in results.values())
 
     def test_live_requests_stay_on_classes_under_auto(self):
@@ -236,9 +236,11 @@ class TestStackedDenseServing:
         ) as service:
             live = service.submit_live(stream).result(timeout=WAIT)
             spec = service.submit(spec_of(24)).result(timeout=WAIT)
+            dense = service.submit(spec_of(256)).result(timeout=WAIT)
         assert live.backend == "classes"  # snapshots are count-class views
-        assert spec.backend == "subspace"
-        assert live.exact and spec.exact
+        assert spec.backend == "ragged"
+        assert dense.backend == "subspace"
+        assert live.exact and spec.exact and dense.exact
 
     def test_unknown_backend_rejected_at_construction(self):
         with pytest.raises(Exception, match="unknown stacked backend"):
@@ -248,13 +250,13 @@ class TestStackedDenseServing:
 
     def test_max_dense_dimension_caps_auto_onto_classes(self):
         """The serving twin of SamplingRequest.max_dense_dimension: a cap
-        below 2N must push auto resolution back to classes."""
+        below 2N must push auto resolution back to the class plane."""
         with SamplerService(
             rng=0, batch_size=2, flush_deadline=0.01,
             backend="auto", max_dense_dimension=8,
         ) as service:
-            result = service.submit(spec_of(24)).result(timeout=WAIT)
-        assert result.backend == "classes"  # universe 64, 2N = 128 > 8
+            result = service.submit(spec_of(256)).result(timeout=WAIT)
+        assert result.backend == "ragged"  # universe 64, 2N = 128 > 8
         assert result.exact
 
     def test_nonpositive_max_dense_dimension_rejected(self):
@@ -331,30 +333,27 @@ class TestRaggedServing:
         assert telemetry["batches_executed"] >= 2  # per-shape groups
         assert telemetry["padding_cells"] > 0
 
-    def test_auto_service_pools_onto_ragged_when_threshold_armed(self):
-        from repro.config import CONFIG
-
-        universe = CONFIG.classes_universe_threshold  # auto resolves to classes
+    def test_auto_service_pools_onto_ragged(self):
+        """auto's default: mixed-shape class traffic pools into ONE
+        ragged batch instead of one padded group per shape."""
         specs = [
             InstanceSpec(
-                workload=WorkloadSpec.of("zipf", universe=universe, total=6 * (k + 1)),
+                workload=WorkloadSpec.of("zipf", universe=64, total=6 * (k + 1)),
                 n_machines=2,
                 tag=f"a{k}",
             )
             for k in range(4)
         ]
-        before = CONFIG.ragged_fill_threshold
-        CONFIG.ragged_fill_threshold = 0.95
-        try:
-            with SamplerService(
-                backend="auto", rng=13, batch_size=4, flush_deadline=0.01
-            ) as service:
-                futures = [service.submit(spec) for spec in specs]
-                results = [f.result(timeout=WAIT) for f in futures]
-        finally:
-            CONFIG.ragged_fill_threshold = before
+        with SamplerService(
+            backend="auto", rng=13, batch_size=4, flush_deadline=30.0
+        ) as service:
+            futures = [service.submit(spec) for spec in specs]
+            results = [f.result(timeout=WAIT) for f in futures]
+            telemetry = service.telemetry()
         assert all(r.backend == "ragged" for r in results)
         assert all(r.exact for r in results)
+        assert telemetry["batches_executed"] == 1
+        assert telemetry["padding_cells"] == 0
 
     def test_live_requests_allowed_on_ragged(self):
         db = round_robin(zipf_dataset(64, 12, exponent=1.2, rng=3), n_machines=3)
